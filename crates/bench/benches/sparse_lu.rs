@@ -18,12 +18,23 @@
 //! Every timed refresh (fill + factor) is followed by an in-loop solve
 //! that is asserted **bitwise identical** between the sparse and dense
 //! kernels — the parity contract the solver relies on — so the bench
-//! doubles as an end-to-end kernel-equivalence check. Results go to
-//! `results/BENCH_sparse_lu.json` (relative to the workspace root).
+//! doubles as an end-to-end kernel-equivalence check.
+//!
+//! A scalar column (`lane_width` 1, paths `scalar-dense` and `scalar`)
+//! times what the width-1 solver path runs on the same matrices: the dense
+//! reference kernel against the production `LuFactor` / `CluFactor`, which
+//! skip exact zeros over each factorization's actual fill. Both are
+//! checked against each other first (`dense_reference::assert_*_matches`).
+//! Results go to `results/BENCH_sparse_lu.json` (relative to the workspace
+//! root).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
+use paraspace_linalg::dense_reference::{
+    assert_clu_matches, assert_lu_matches, with_dense_kernels,
+};
 use paraspace_linalg::{
-    BatchCluFactor, BatchLuFactor, BatchSparseCluFactor, BatchSparseLuFactor, Complex64, SymbolicLu,
+    BatchCluFactor, BatchLuFactor, BatchSparseCluFactor, BatchSparseLuFactor, CMatrix, CluFactor,
+    Complex64, LuFactor, Matrix, SymbolicLu,
 };
 use paraspace_models::metabolic;
 use paraspace_rbm::{Reaction, ReactionBasedModel};
@@ -258,24 +269,9 @@ fn sweep_case(rows: &mut Vec<Row>, case: &Case, reps: usize, rng: &mut StdRng) {
             case.name
         );
 
-        let mut push =
-            |kind: &'static str, path: &'static str, refresh: (f64, f64), solve: (f64, f64)| {
-                rows.push(Row {
-                    pattern: case.name,
-                    n: case.n,
-                    stoich_nnz: case.entries.len(),
-                    closed_nnz: case.sym.nnz(),
-                    prefers_sparse: case.sym.prefers_sparse(),
-                    kind,
-                    path,
-                    lane_width: lanes,
-                    reps,
-                    refresh_mean_ns: refresh.0,
-                    refresh_best_ns: refresh.1,
-                    solve_mean_ns: solve.0,
-                    solve_best_ns: solve.1,
-                });
-            };
+        let mut push = |kind, path, refresh, solve| {
+            push_row(rows, case, reps, kind, path, lanes, refresh, solve);
+        };
 
         let refresh = time_op(reps, || dense_refresh(&mut dense, case, &vals, lanes, &mask));
         let solve = time_op(reps, || {
@@ -311,6 +307,92 @@ fn sweep_case(rows: &mut Vec<Row>, case: &Case, reps: usize, rng: &mut StdRng) {
     }
 }
 
+/// The scalar kernels on lane 0's matrices of the lane rows: each refresh
+/// copies the matrix into the retired factorization's storage and factors
+/// it there (as the solvers do), each solve starts from the same `b`.
+fn scalar_case(rows: &mut Vec<Row>, case: &Case, reps: usize, rng: &mut StdRng) {
+    let n = case.n;
+    let vals = lane_values(case, 1, rng);
+    let b0 = rhs(n, 1, rng);
+    let b0c: Vec<Complex64> = b0.iter().map(|&x| Complex64::new(x, -0.5 * x)).collect();
+    let (mut real, mut cplx) = (Matrix::zeros(n, n), CMatrix::zeros(n, n));
+    for (&(i, j), &re) in case.entries.iter().zip(&vals) {
+        real[(i, j)] = re;
+        cplx[(i, j)] = Complex64::new(re, 0.25 * re);
+    }
+    for i in 0..n {
+        real[(i, i)] += n as f64;
+        cplx[(i, i)] += Complex64::new(n as f64, 0.5 * n as f64);
+    }
+    assert_lu_matches(case.name, &real, std::slice::from_ref(&b0)).expect("real scalar factor");
+    assert_clu_matches(case.name, &cplx, std::slice::from_ref(&b0c))
+        .expect("complex scalar factor");
+
+    for (path, dense) in [("scalar-dense", true), ("scalar", false)] {
+        let on_path = |f: &mut dyn FnMut()| if dense { with_dense_kernels(f) } else { f() };
+        let (mut refresh, mut solve) = ((0.0, 0.0), (0.0, 0.0));
+        on_path(&mut || {
+            let mut lu = Some(LuFactor::new(real.clone()).expect("factor"));
+            refresh = time_op(reps, || {
+                let (mut m, pattern) = lu.take().expect("factor").into_parts();
+                m.as_mut_slice().copy_from_slice(real.as_slice());
+                lu = Some(LuFactor::new_reusing(m, pattern).expect("factor"));
+            });
+            let lu = lu.take().expect("factor");
+            solve = time_op(reps, || {
+                let mut x = b0.clone();
+                lu.solve_in_place(&mut x);
+                std::hint::black_box(&mut x);
+            });
+        });
+        push_row(rows, case, reps, "real", path, 1, refresh, solve);
+
+        on_path(&mut || {
+            let mut lu = Some(CluFactor::new(cplx.clone()).expect("factor"));
+            refresh = time_op(reps, || {
+                let (mut m, pattern) = lu.take().expect("factor").into_parts();
+                m.as_mut_slice().copy_from_slice(cplx.as_slice());
+                lu = Some(CluFactor::new_reusing(m, pattern).expect("factor"));
+            });
+            let lu = lu.take().expect("factor");
+            solve = time_op(reps, || {
+                let mut z = b0c.clone();
+                lu.solve_in_place(&mut z);
+                std::hint::black_box(&mut z);
+            });
+        });
+        push_row(rows, case, reps, "complex", path, 1, refresh, solve);
+    }
+}
+
+#[allow(clippy::too_many_arguments)]
+fn push_row(
+    rows: &mut Vec<Row>,
+    case: &Case,
+    reps: usize,
+    kind: &'static str,
+    path: &'static str,
+    lane_width: usize,
+    refresh: (f64, f64),
+    solve: (f64, f64),
+) {
+    rows.push(Row {
+        pattern: case.name,
+        n: case.n,
+        stoich_nnz: case.entries.len(),
+        closed_nnz: case.sym.nnz(),
+        prefers_sparse: case.sym.prefers_sparse(),
+        kind,
+        path,
+        lane_width,
+        reps,
+        refresh_mean_ns: refresh.0,
+        refresh_best_ns: refresh.1,
+        solve_mean_ns: solve.0,
+        solve_best_ns: solve.1,
+    });
+}
+
 fn sweep(c: &mut Criterion) {
     let test_mode = std::env::args().any(|a| a == "--test");
     let reps = if test_mode { 1 } else { 20 };
@@ -330,6 +412,8 @@ fn sweep(c: &mut Criterion) {
     let mut rows: Vec<Row> = Vec::new();
     sweep_case(&mut rows, &compartments, reps, &mut rng);
     sweep_case(&mut rows, &metabolic, reps, &mut rng);
+    scalar_case(&mut rows, &compartments, reps, &mut rng);
+    scalar_case(&mut rows, &metabolic, reps, &mut rng);
 
     if !test_mode {
         write_json(&rows);
@@ -357,7 +441,10 @@ fn write_json(rows: &[Row]) {
         "  \"note\": \"batched LU refresh (fill + factor) and triangular solve wall times on \
          model-derived Jacobian patterns; closed_nnz is the all-pivot-sequence fill closure the \
          sparse kernels factor over, dense entries are n^2; every timed configuration's solve is \
-         asserted bitwise identical between the sparse and dense kernels in-loop\",\n",
+         asserted bitwise identical between the sparse and dense kernels in-loop; lane_width 1 \
+         rows with path scalar-dense / scalar time the one-system LuFactor/CluFactor kernels \
+         (dense reference vs exact-zero skipping over the factorization's actual fill) on lane \
+         0's matrix\",\n",
     );
     body.push_str("  \"rows\": [\n");
     for (i, r) in rows.iter().enumerate() {

@@ -44,6 +44,7 @@ use std::collections::{BTreeMap, BTreeSet};
 use std::fs::{self, File, OpenOptions};
 use std::io::Write;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::{SystemTime, UNIX_EPOCH};
 
 use crate::codec::{Dec, Enc};
@@ -348,13 +349,7 @@ impl LeaseDir {
     /// the death instead of the generic `heartbeat-expired`.
     pub fn blame(&self, worker: &str, reason: &str) -> Result<(), JournalError> {
         validate_worker_id(worker)?;
-        let path = self.blame_path(worker);
-        let tmp = self.root.join(LEASES_DIR).join(format!("blame_{worker}.tmp"));
-        let mut f = File::create(&tmp)?;
-        f.write_all(reason.as_bytes())?;
-        f.flush()?;
-        fs::rename(&tmp, &path)?;
-        Ok(())
+        replace_atomic(&self.blame_path(worker), reason.as_bytes())
     }
 
     /// The blame note for `worker`, if one was recorded.
@@ -380,15 +375,9 @@ impl LeaseDir {
     /// never observes a torn heartbeat).
     pub fn beat(&self, worker: &str, counter: u64) -> Result<(), JournalError> {
         validate_worker_id(worker)?;
-        let path = self.heartbeat_path(worker);
-        let tmp = self.root.join(LEASES_DIR).join(format!("hb_{worker}.tmp"));
         let mut enc = Enc::new();
         enc.put_u64(counter).put_u64(now_ms());
-        let mut f = File::create(&tmp)?;
-        f.write_all(&enc.finish())?;
-        f.flush()?;
-        fs::rename(&tmp, &path)?;
-        Ok(())
+        replace_atomic(&self.heartbeat_path(worker), &enc.finish())
     }
 
     /// The UNIX-ms timestamp of `worker`'s last heartbeat, if any.
@@ -414,6 +403,26 @@ fn parse_lease(shard: u64, bytes: &[u8]) -> LeaseInfo {
         Ok((worker, granted_at_ms)) => LeaseInfo { shard, worker, granted_at_ms },
         Err(_) => LeaseInfo { shard, worker: String::new(), granted_at_ms: 0 },
     }
+}
+
+/// Replaces `path` with `bytes` through tempfile+rename. The temp name is
+/// unique per call (process id plus a process-wide sequence number), so
+/// concurrent writers of one file — a worker's heartbeat thread and its
+/// main thread, or two server connection threads blaming one worker —
+/// never rename each other's temp file away; the last rename wins.
+fn replace_atomic(path: &Path, bytes: &[u8]) -> Result<(), JournalError> {
+    static SEQ: AtomicU64 = AtomicU64::new(0);
+    let seq = SEQ.fetch_add(1, Ordering::Relaxed);
+    let mut name = path.file_name().expect("lease-dir files are named").to_os_string();
+    name.push(format!(".{}.{seq}.tmp", std::process::id()));
+    let tmp = path.with_file_name(name);
+    let written = File::create(&tmp)
+        .and_then(|mut f| f.write_all(bytes).and_then(|()| f.flush()))
+        .and_then(|()| fs::rename(&tmp, path));
+    if written.is_err() {
+        let _ = fs::remove_file(&tmp);
+    }
+    Ok(written?)
 }
 
 fn parse_marker(name: &str, prefix: &str, suffix: &str) -> Option<u64> {
@@ -760,6 +769,36 @@ mod tests {
         leases.clear_blame("w0").unwrap();
         leases.clear_blame("w0").unwrap(); // idempotent
         assert_eq!(leases.read_blame("w0").unwrap(), None);
+        fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn concurrent_beats_and_blames_for_one_worker_never_fail() {
+        // A worker's heartbeat thread races its main thread's beats, and
+        // server connection threads race each other's blame notes; with a
+        // shared temp name one rename would move the other's file away.
+        let dir = tmp_dir("hb_race");
+        let leases = LeaseDir::new(&dir);
+        leases.ensure().unwrap();
+        std::thread::scope(|s| {
+            for t in 0..2u64 {
+                let leases = &leases;
+                s.spawn(move || {
+                    for i in 0..300 {
+                        leases.beat("w0", t * 1000 + i).unwrap();
+                        leases.blame("w0", &format!("thread {t} note {i}")).unwrap();
+                    }
+                });
+            }
+        });
+        assert!(leases.last_heartbeat_ms("w0").unwrap().is_some());
+        assert!(leases.read_blame("w0").unwrap().unwrap().starts_with("thread "));
+        let leftovers: Vec<_> = fs::read_dir(dir.join(LEASES_DIR))
+            .unwrap()
+            .filter_map(Result::ok)
+            .filter(|e| e.file_name().to_string_lossy().ends_with(".tmp"))
+            .collect();
+        assert!(leftovers.is_empty(), "temp files left behind: {leftovers:?}");
         fs::remove_dir_all(&dir).ok();
     }
 

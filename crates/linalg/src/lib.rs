@@ -12,7 +12,8 @@
 //!   Newton iteration factorizes one real and one complex system per step),
 //! * [`Matrix`] / [`CMatrix`] — dense row-major real and complex matrices,
 //! * [`LuFactor`] / [`CluFactor`] — LU decomposition with partial pivoting
-//!   plus forward/backward substitution, and a batched driver used by the
+//!   plus forward/backward substitution that skip exact zeros with results
+//!   identical to the dense kernel, and a batched driver used by the
 //!   virtual-GPU engines as the cuBLAS substitute,
 //! * [`SparsityPattern`] / [`SymbolicLu`] / [`BatchSparseLuFactor`] /
 //!   [`BatchSparseCluFactor`] — KLU-style symbolic-once / numeric-per-lane
@@ -40,6 +41,8 @@
 
 mod batch_lu;
 mod complex;
+#[cfg(any(test, feature = "dense-reference"))]
+pub mod dense_reference;
 mod eigen;
 mod error;
 mod jacobian;
@@ -55,7 +58,7 @@ pub use eigen::{
 };
 pub use error::LinalgError;
 pub use jacobian::{finite_difference_jacobian, finite_difference_jacobian_into};
-pub use lu::{batched_lu, CluFactor, LuFactor};
+pub use lu::{batched_lu, CluFactor, LuFactor, LuPattern};
 pub use matrix::{CMatrix, Matrix};
 pub use norms::{inf_norm, l1_norm, l2_norm, rms_norm, weighted_rms_norm};
 pub use sparse::{

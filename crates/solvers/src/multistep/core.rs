@@ -3,7 +3,9 @@
 
 use crate::multistep::MethodFamily;
 use crate::{OdeSystem, SolverError, SolverOptions, StepStats};
-use paraspace_linalg::{dominant_eigenvalue_estimate, weighted_rms_norm, LuFactor, Matrix};
+use paraspace_linalg::{
+    dominant_eigenvalue_estimate, weighted_rms_norm, LuFactor, LuPattern, Matrix,
+};
 
 /// Maximum corrector iterations per attempt.
 const MAX_CORRECTOR_ITERS: usize = 4;
@@ -129,8 +131,9 @@ pub(crate) struct NordsieckCore {
     corr_delta: Vec<f64>,
     f0_buf: Vec<f64>,
     diff_buf: Vec<f64>,
-    // Retired iteration-matrix storage, reclaimed on re-factorization.
-    m_store: Option<Matrix>,
+    // Retired iteration-matrix and LU index storage, reclaimed on
+    // re-factorization.
+    m_store: Option<(Matrix, LuPattern)>,
 }
 
 impl NordsieckCore {
@@ -190,7 +193,7 @@ impl NordsieckCore {
     /// the next factorization reuses the allocation.
     fn retire_lu(&mut self) {
         if let Some(lu) = self.lu.take() {
-            self.m_store = Some(lu.into_matrix());
+            self.m_store = Some(lu.into_parts());
         }
     }
 
@@ -369,21 +372,22 @@ impl NordsieckCore {
             }
             if need_factor {
                 // Build I − γJ into reclaimed storage: the retired
-                // factorization (or the reclaim slot) donates its matrix.
-                let mut m = self
+                // factorization (or the reclaim slot) donates its matrix
+                // and index storage.
+                let (mut m, pattern) = self
                     .lu
                     .take()
-                    .map(LuFactor::into_matrix)
+                    .map(LuFactor::into_parts)
                     .or_else(|| self.m_store.take())
-                    .filter(|m| m.rows() == n && m.cols() == n)
-                    .unwrap_or_else(|| Matrix::zeros(n, n));
+                    .filter(|(m, _)| m.rows() == n && m.cols() == n)
+                    .unwrap_or_else(|| (Matrix::zeros(n, n), LuPattern::default()));
                 for i in 0..n {
                     for j in 0..n {
                         m[(i, j)] = -gamma * self.jac[(i, j)];
                     }
                     m[(i, i)] += 1.0;
                 }
-                match LuFactor::new(m) {
+                match LuFactor::new_reusing(m, pattern) {
                     Ok(lu) => {
                         self.lu = Some(lu);
                         self.gamma_factored = gamma;

@@ -22,7 +22,9 @@ use crate::{
     initial_step_size, OdeSolver, OdeSystem, Solution, SolveFailure, SolverError, SolverOptions,
     SolverScratch,
 };
-use paraspace_linalg::{weighted_rms_norm, CMatrix, CluFactor, Complex64, LuFactor, Matrix};
+use paraspace_linalg::{
+    weighted_rms_norm, CMatrix, CluFactor, Complex64, LuFactor, LuPattern, Matrix,
+};
 
 // Collocation-node radical √6 and the inverse eigenvalues of the Radau IIA
 // coefficient matrix A, hoisted to compile-time constants shared with the
@@ -129,10 +131,10 @@ pub(crate) struct RadauWorkspace {
     err_v: Vec<f64>,
     f_ref: Vec<f64>,
     sample_buf: Vec<f64>,
-    // Retired iteration-matrix storage, reclaimed so a re-factorization
-    // reuses the allocation instead of making a new one.
-    e1_store: Option<Matrix>,
-    e2_store: Option<CMatrix>,
+    // Retired iteration-matrix and LU index storage, reclaimed so a
+    // re-factorization reuses the allocations instead of making new ones.
+    e1_store: Option<(Matrix, LuPattern)>,
+    e2_store: Option<(CMatrix, LuPattern)>,
 }
 
 impl RadauWorkspace {
@@ -182,10 +184,10 @@ impl RadauWorkspace {
         self.cont_h = 0.0;
         self.have_cont = false;
         if let Some(lu) = self.lu_real.take() {
-            self.e1_store = Some(lu.into_matrix());
+            self.e1_store = Some(lu.into_parts());
         }
         if let Some(lu) = self.lu_complex.take() {
-            self.e2_store = Some(lu.into_matrix());
+            self.e2_store = Some(lu.into_parts());
         }
     }
 
@@ -341,14 +343,15 @@ impl Radau5 {
             if need_factor {
                 let fac1 = u1 / h;
                 // Build E1 = γ/h·I − J into reclaimed storage: the retired
-                // factorization (or the reclaim slot) donates its matrix.
-                let mut e1 = ws
+                // factorization (or the reclaim slot) donates its matrix
+                // and index storage.
+                let (mut e1, p1) = ws
                     .lu_real
                     .take()
-                    .map(LuFactor::into_matrix)
+                    .map(LuFactor::into_parts)
                     .or_else(|| ws.e1_store.take())
-                    .filter(|m| m.rows() == n && m.cols() == n)
-                    .unwrap_or_else(|| Matrix::zeros(n, n));
+                    .filter(|(m, _)| m.rows() == n && m.cols() == n)
+                    .unwrap_or_else(|| (Matrix::zeros(n, n), LuPattern::default()));
                 for (dst, &src) in e1.as_mut_slice().iter_mut().zip(ws.jac.as_slice()) {
                     *dst = -src;
                 }
@@ -357,20 +360,20 @@ impl Radau5 {
                 }
                 let alphn = alph / h;
                 let betan = beta / h;
-                let mut e2 = ws
+                let (mut e2, p2) = ws
                     .lu_complex
                     .take()
-                    .map(CluFactor::into_matrix)
+                    .map(CluFactor::into_parts)
                     .or_else(|| ws.e2_store.take())
-                    .filter(|m| m.rows() == n && m.cols() == n)
-                    .unwrap_or_else(|| CMatrix::zeros(n, n));
+                    .filter(|(m, _)| m.rows() == n && m.cols() == n)
+                    .unwrap_or_else(|| (CMatrix::zeros(n, n), LuPattern::default()));
                 for i in 0..n {
                     for j in 0..n {
                         e2[(i, j)] = Complex64::new(-ws.jac[(i, j)], 0.0);
                     }
                     e2[(i, i)] += Complex64::new(alphn, betan);
                 }
-                match (LuFactor::new(e1), CluFactor::new(e2)) {
+                match (LuFactor::new_reusing(e1, p1), CluFactor::new_reusing(e2, p2)) {
                     (Ok(l1), Ok(l2)) => {
                         ws.lu_real = Some(l1);
                         ws.lu_complex = Some(l2);

@@ -41,7 +41,7 @@ use crate::{
     SolverOptions,
 };
 use paraspace_linalg::{
-    weighted_rms_norm, CMatrix, CluFactor, Complex64, LuFactor, Matrix, SparsityPattern,
+    weighted_rms_norm, CMatrix, CluFactor, Complex64, LuFactor, LuPattern, Matrix, SparsityPattern,
 };
 use std::cell::RefCell;
 
@@ -201,7 +201,11 @@ impl<S: SensOdeSystem + ?Sized> OdeSystem for AugmentedSensSystem<'_, S> {
 /// Splits an augmented-system solution back into state + sensitivities.
 pub(crate) fn split_augmented(sol: Solution, n: usize, p: usize) -> SensSolution {
     let mut out = SensSolution {
-        solution: Solution { times: sol.times, states: Vec::with_capacity(sol.states.len()), stats: sol.stats },
+        solution: Solution {
+            times: sol.times,
+            states: Vec::with_capacity(sol.states.len()),
+            stats: sol.stats,
+        },
         sens: Vec::with_capacity(sol.states.len()),
     };
     for mut aug in sol.states {
@@ -544,12 +548,12 @@ impl Radau5Sens {
             }
             if need_factor {
                 let fac1 = u1 / h;
-                let mut e1 = ws
+                let (mut e1, p1) = ws
                     .lu_real
                     .take()
-                    .map(LuFactor::into_matrix)
-                    .filter(|m| m.rows() == n && m.cols() == n)
-                    .unwrap_or_else(|| Matrix::zeros(n, n));
+                    .map(LuFactor::into_parts)
+                    .filter(|(m, _)| m.rows() == n && m.cols() == n)
+                    .unwrap_or_else(|| (Matrix::zeros(n, n), LuPattern::default()));
                 for (dst, &src) in e1.as_mut_slice().iter_mut().zip(ws.jac.as_slice()) {
                     *dst = -src;
                 }
@@ -558,19 +562,19 @@ impl Radau5Sens {
                 }
                 let alphn = alph / h;
                 let betan = beta / h;
-                let mut e2 = ws
+                let (mut e2, p2) = ws
                     .lu_complex
                     .take()
-                    .map(CluFactor::into_matrix)
-                    .filter(|m| m.rows() == n && m.cols() == n)
-                    .unwrap_or_else(|| CMatrix::zeros(n, n));
+                    .map(CluFactor::into_parts)
+                    .filter(|(m, _)| m.rows() == n && m.cols() == n)
+                    .unwrap_or_else(|| (CMatrix::zeros(n, n), LuPattern::default()));
                 for i in 0..n {
                     for j in 0..n {
                         e2[(i, j)] = Complex64::new(-ws.jac[(i, j)], 0.0);
                     }
                     e2[(i, i)] += Complex64::new(alphn, betan);
                 }
-                match (LuFactor::new(e1), CluFactor::new(e2)) {
+                match (LuFactor::new_reusing(e1, p1), CluFactor::new_reusing(e2, p2)) {
                     (Ok(l1), Ok(l2)) => {
                         ws.lu_real = Some(l1);
                         ws.lu_complex = Some(l2);
@@ -1133,14 +1137,21 @@ mod tests {
     }
 
     /// Central finite-difference sensitivities from two full solves.
-    fn fd_sens_radau(k: [f64; 3], which: usize, times: &[f64], opts: &SolverOptions) -> Vec<Vec<f64>> {
+    fn fd_sens_radau(
+        k: [f64; 3],
+        which: usize,
+        times: &[f64],
+        opts: &SolverOptions,
+    ) -> Vec<Vec<f64>> {
         let h = 1e-6 * k[which].abs().max(1e-12);
         let mut kp = k;
         kp[which] += h;
         let mut km = k;
         km[which] -= h;
-        let up = Radau5::new().solve(&Robertson { k: kp }, 0.0, &[1.0, 0.0, 0.0], times, opts).unwrap();
-        let um = Radau5::new().solve(&Robertson { k: km }, 0.0, &[1.0, 0.0, 0.0], times, opts).unwrap();
+        let up =
+            Radau5::new().solve(&Robertson { k: kp }, 0.0, &[1.0, 0.0, 0.0], times, opts).unwrap();
+        let um =
+            Radau5::new().solve(&Robertson { k: km }, 0.0, &[1.0, 0.0, 0.0], times, opts).unwrap();
         up.states
             .iter()
             .zip(&um.states)
