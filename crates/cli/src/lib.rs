@@ -26,8 +26,8 @@ use paraspace_analysis::pe::{estimate_durable_with, estimate_with, EstimationPro
 use paraspace_analysis::pso::PsoConfig;
 pub use paraspace_core::CancelToken;
 use paraspace_core::{
-    recommend_engine, taxonomy, CoarseEngine, CpuEngine, CpuSolverKind, FineCoarseEngine,
-    FineEngine, RecoveryPolicy, SimOutcome, SimulationJob, Simulator,
+    recommend_engine, taxonomy, BatchResult, CoarseEngine, CpuEngine, CpuSolverKind,
+    FineCoarseEngine, FineEngine, RecoveryPolicy, SimOutcome, SimulationJob, Simulator,
 };
 use paraspace_journal::codec::{Dec, Enc};
 use paraspace_journal::lease::{LeaseConfig, RetryState};
@@ -334,9 +334,11 @@ core). Results are bitwise identical at any thread count.
 
 --lane-width controls the lockstep lane grouping of the fine and fine-coarse
 engines: `auto` (default) prices each model's flux-vs-LU cost ratio and
-factor working set to pick a width per model, while an explicit N pins it
-(1 forces the scalar path). Other engines ignore the flag. Results are
-bitwise identical at any width.
+factor working set to pick a width per model (fine-coarse runs its DOPRI5
+phase P3 at width 8 and prices only its RADAU5 phase P4), while an
+explicit N pins it, for fine-coarse in both P3 and P4 (1 forces the scalar
+path). Other engines ignore the flag. Results are bitwise identical at any
+width.
 
 Failed members never abort a batch: each failure is contained, itemized in
 the health summary, and written as a .err file (with the member's full
@@ -1064,6 +1066,70 @@ fn error_report(o: &SimOutcome) -> String {
     )
 }
 
+/// Finished members queued between the workers serializing them and the
+/// thread writing them; bounds the dynamics bodies held in memory.
+const WRITE_QUEUE: usize = 64;
+
+/// Runs `job` on `engine` and writes one artifact per member into
+/// `out_path`. Each successful member is serialized on the worker that
+/// finished it and written as `dynamics_{i:05}.tsv` by one writer thread
+/// while the batch still integrates; the `.err` reports of failed members
+/// follow the run. On an engine error (a cancellation included) the
+/// streamed files (and the directory, if this run created it) are removed
+/// again; the writer's first I/O error fails the command.
+fn simulate_to_dir(
+    engine: &dyn Simulator,
+    job: &SimulationJob,
+    out_path: &Path,
+) -> Result<BatchResult, CliError> {
+    let created = !out_path.exists();
+    std::fs::create_dir_all(out_path)?;
+    let (tx, rx) = std::sync::mpsc::sync_channel::<(usize, String)>(WRITE_QUEUE);
+    let dir = out_path.to_path_buf();
+    let writer = std::thread::spawn(move || {
+        let mut written = Vec::new();
+        for (i, body) in rx {
+            let path = dir.join(format!("dynamics_{i:05}.tsv"));
+            if let Err(e) = std::fs::write(&path, body) {
+                return (written, Err(CliError(format!("cannot write {}: {e}", path.display()))));
+            }
+            written.push(path);
+        }
+        (written, Ok(()))
+    });
+    let done = |i: usize, sol: &Solution| {
+        // A send fails only once the writer has stopped on an I/O error,
+        // which is reported after the run.
+        let _ = tx.send((i, job.serialize_dynamics(sol)));
+    };
+    let result = engine.run_streaming(job, &done);
+    drop(tx);
+    let join = |writer: std::thread::JoinHandle<_>| {
+        writer.join().unwrap_or_else(|panic| std::panic::resume_unwind(panic))
+    };
+    let result = match result {
+        Ok(result) => result,
+        Err(e) => {
+            let (written, _) = join(writer);
+            for path in written {
+                let _ = std::fs::remove_file(path);
+            }
+            if created {
+                let _ = std::fs::remove_dir(out_path);
+            }
+            return Err(e.into());
+        }
+    };
+    let reports =
+        result.outcomes.iter().enumerate().filter(|(_, o)| o.solution.is_err()).try_for_each(
+            |(i, o)| std::fs::write(out_path.join(format!("dynamics_{i:05}.err")), error_report(o)),
+        );
+    let (_, streamed): (Vec<PathBuf>, Result<(), CliError>) = join(writer);
+    reports?;
+    streamed?;
+    Ok(result)
+}
+
 /// One member's journaled artifact: the exact bytes its output file will
 /// hold (`body`), plus the taxonomy label for failed members (empty for
 /// successes) so a resumed run reprints the same failure summary.
@@ -1262,26 +1328,8 @@ pub fn execute_with_cancel(
                 ..RecoveryPolicy::default()
             };
             let engine = engine_by_name(engine, *threads, *lane_width, recovery, cancel)?;
-            let result = engine.run(&job)?;
-
             let out_path = out_dir.clone().unwrap_or_else(|| model_dir.join("out"));
-            std::fs::create_dir_all(&out_path)?;
-            for (i, o) in result.outcomes.iter().enumerate() {
-                match &o.solution {
-                    Ok(sol) => {
-                        std::fs::write(
-                            out_path.join(format!("dynamics_{i:05}.tsv")),
-                            job.serialize_dynamics(sol),
-                        )?;
-                    }
-                    Err(_) => {
-                        std::fs::write(
-                            out_path.join(format!("dynamics_{i:05}.err")),
-                            error_report(o),
-                        )?;
-                    }
-                }
-            }
+            let result = simulate_to_dir(engine.as_ref(), &job, &out_path)?;
             writeln!(
                 out,
                 "{}: {}/{} simulations ok; simulated {:.3} ms (integration {:.3} ms, i/o {:.3} ms); host wall {:.1?}",
@@ -3231,6 +3279,131 @@ mod tests {
                 assert!(text.contains(key), "{name} missing {key:?}: {text}");
             }
         }
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    /// A generated 12×16 model with `members` perturbed `c_matrix` rows, in
+    /// `base/model`.
+    fn perturbed_model(base: &Path, members: usize) -> PathBuf {
+        let dir = base.join("model");
+        let mut log = Vec::new();
+        execute(
+            &Command::Generate { species: 12, reactions: 16, seed: 5, out_dir: dir.clone() },
+            &mut log,
+        )
+        .unwrap();
+        let model = biosimware::read_dir(&dir).unwrap();
+        let mut rng = StdRng::seed_from_u64(9);
+        let batch = paraspace_rbm::perturbed_batch(&model, members, &mut rng);
+        biosimware::write_parameterizations(&model, &batch, &dir).unwrap();
+        dir
+    }
+
+    #[test]
+    fn streamed_outputs_are_byte_identical_at_any_lane_width() {
+        // fine-coarse writes finished members while the batch integrates;
+        // the tree must equal the scalar-P3 run's, `.err` reports included
+        // (the step budget fails the members that need the most steps, and
+        // one relaxation retry with a doubled budget recovers them).
+        let base =
+            std::env::temp_dir().join(format!("paraspace_cli_stream_{}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let model = perturbed_model(&base, 48);
+        for (budget, retries) in [(None, 0), (Some(88), 0), (Some(88), 1)] {
+            let mut trees = Vec::new();
+            for (width, workers) in [(Some(1), 1), (None, 2), (Some(4), 2)] {
+                let out = base.join(format!("out_{budget:?}_{retries}_{width:?}_{workers}"));
+                let mut cmd = simulate_cmd(&model, None, 0);
+                if let Command::Simulate {
+                    engine,
+                    out_dir,
+                    threads,
+                    lane_width,
+                    member_budget,
+                    max_retries,
+                    ..
+                } = &mut cmd
+                {
+                    *engine = "fine-coarse".into();
+                    *out_dir = Some(out.clone());
+                    *threads = workers;
+                    *lane_width = width;
+                    *member_budget = budget;
+                    *max_retries = retries;
+                }
+                execute(&cmd, &mut Vec::new()).unwrap();
+                trees.push(read_outputs(&out));
+            }
+            let label = format!("budget {budget:?}, {retries} retries");
+            assert_eq!(trees[0].len(), 48, "{label}: one artifact per member");
+            let failed = trees[0].keys().filter(|name| name.ends_with(".err")).count();
+            match (budget, retries) {
+                (Some(_), 0) => assert!(failed > 0 && failed < 48, "{label}: {failed} failed"),
+                _ => assert_eq!(failed, 0, "{label}"),
+            }
+            assert!(trees.iter().all(|t| *t == trees[0]), "{label}: trees differ");
+        }
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn output_write_errors_fail_the_command() {
+        // A directory squatting on one member's file name makes the writer
+        // thread's write fail; the command must report it, not succeed.
+        let base = std::env::temp_dir().join(format!("paraspace_cli_wfail_{}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let model = perturbed_model(&base, 8);
+        let out = base.join("out");
+        std::fs::create_dir_all(out.join("dynamics_00003.tsv")).unwrap();
+        let mut cmd = simulate_cmd(&model, None, 0);
+        if let Command::Simulate { engine, out_dir, .. } = &mut cmd {
+            *engine = "fine-coarse".into();
+            *out_dir = Some(out.clone());
+        }
+        let err = execute(&cmd, &mut Vec::new()).unwrap_err();
+        assert!(err.to_string().contains("dynamics_00003.tsv"), "{err}");
+        std::fs::remove_dir_all(&base).ok();
+    }
+
+    #[test]
+    fn failed_run_removes_streamed_outputs() {
+        // An engine that streams every member and then reports a
+        // cancellation: the CLI must take back what it wrote, and nothing
+        // else.
+        struct StreamThenCancel;
+        impl Simulator for StreamThenCancel {
+            fn name(&self) -> &'static str {
+                "stream-then-cancel"
+            }
+            fn run(&self, job: &SimulationJob) -> Result<BatchResult, paraspace_core::SimError> {
+                self.run_streaming(job, &|_, _| {})
+            }
+            fn run_streaming(
+                &self,
+                job: &SimulationJob,
+                done: &(dyn Fn(usize, &Solution) + Sync),
+            ) -> Result<BatchResult, paraspace_core::SimError> {
+                FineCoarseEngine::new().run_streaming(job, done)?;
+                Err(paraspace_core::SimError::Cancelled)
+            }
+        }
+        let base =
+            std::env::temp_dir().join(format!("paraspace_cli_cancel_{}", std::process::id()));
+        std::fs::remove_dir_all(&base).ok();
+        let model = biosimware::read_dir(&perturbed_model(&base, 1)).unwrap();
+        let job =
+            SimulationJob::builder(&model).time_points(vec![1.0]).replicate(6).build().unwrap();
+
+        let fresh = base.join("fresh");
+        let err = simulate_to_dir(&StreamThenCancel, &job, &fresh).unwrap_err();
+        assert!(err.to_string().contains("cancelled"), "{err}");
+        assert!(!fresh.exists(), "a failed run leaves no new output directory behind");
+
+        let existing = base.join("existing");
+        std::fs::create_dir_all(&existing).unwrap();
+        std::fs::write(existing.join("notes.txt"), "keep").unwrap();
+        simulate_to_dir(&StreamThenCancel, &job, &existing).unwrap_err();
+        assert_eq!(read_outputs(&existing).into_keys().collect::<Vec<_>>(), ["notes.txt"]);
         std::fs::remove_dir_all(&base).ok();
     }
 

@@ -35,6 +35,7 @@
 use crate::engines::{
     output_bytes, BatchHealth, BatchResult, BatchTiming, SimOutcome, Simulator, IO_BYTES_PER_NS,
 };
+use crate::lanes::MEMBERS_PER_LANE;
 use crate::recovery::{continue_ladder, solve_member_recovered, RecoveryPolicy};
 use crate::{RbmBatchSystem, SimError, SimulationJob, WorkEstimate, STIFFNESS_THRESHOLD};
 use paraspace_exec::{CancelToken, Executor};
@@ -52,10 +53,6 @@ use std::time::Instant;
 const KERNELS_PER_STEP: u64 = 8;
 /// Host↔device transfer throughput in bytes/ns.
 const PCIE_BYTES_PER_NS: f64 = 8.0;
-/// Members queued per lane slot: a group of width `L` services up to
-/// `4·L` members via lane compaction, so early finishers hand their lane
-/// to a pending member instead of idling it.
-const MEMBERS_PER_LANE: usize = 4;
 
 /// The fine-grained engine.
 ///
@@ -320,6 +317,9 @@ impl FineEngine {
             evicted[slot] = job.fault_plan().faults_for(i).is_some();
         }
 
+        // Lane attempts run under the same options as the scalar twin's
+        // first attempt, member step budget included.
+        let opts = self.recovery.base_options(job);
         let lane_members: Vec<usize> =
             (lo..hi).filter(|&i| !stiff[i - lo] && !evicted[i - lo]).collect();
         let stiff_members: Vec<usize> =
@@ -332,13 +332,8 @@ impl FineEngine {
                 let (x0, k) = job.member(i);
                 sys.push_member(x0, k);
             }
-            let (res, rep) = Dopri5Batch::new().solve_group(
-                &mut sys,
-                0.0,
-                job.time_points(),
-                job.options(),
-                scratch,
-            );
+            let (res, rep) =
+                Dopri5Batch::new().solve_group(&mut sys, 0.0, job.time_points(), &opts, scratch);
             lane_results = res;
             report = rep;
         }
@@ -351,13 +346,8 @@ impl FineEngine {
                 let (x0, k) = job.member(i);
                 sys.push_member(x0, k);
             }
-            let (res, rep) = Radau5Batch::new().solve_group(
-                &mut sys,
-                0.0,
-                job.time_points(),
-                job.options(),
-                scratch,
-            );
+            let (res, rep) =
+                Radau5Batch::new().solve_group(&mut sys, 0.0, job.time_points(), &opts, scratch);
             stiff_results = res;
             stiff_report = Some(rep);
         }
@@ -621,7 +611,7 @@ impl FineEngine {
         lanes: Option<paraspace_vgpu::LaneAccounting>,
         health: BatchHealth,
     ) -> Result<BatchResult, SimError> {
-        let out_bytes = output_bytes(job, &outcomes);
+        let out_bytes = output_bytes(&self.executor, job, &outcomes);
         device.record_host_phase("io::d2h", out_bytes as f64 / PCIE_BYTES_PER_NS);
         device.record_host_phase("io::write", out_bytes as f64 / IO_BYTES_PER_NS);
 

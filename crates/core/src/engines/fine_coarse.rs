@@ -18,21 +18,34 @@
 //! on the device), child grids carry the per-round ODE work, and each child
 //! round pays the dynamic-parallelism launch overhead — which is what caps
 //! useful batch sizes near 2048.
+//!
+//! On the host, P3 runs mass-action batches as lockstep DOPRI5 lane-groups
+//! ([`Dopri5Batch`] over [`RbmBatchSystem`], width 8 unless pinned), which
+//! reproduce every member's scalar trajectory and step counters bitwise.
+//! The device model is unchanged: P3 is still billed one parent thread per
+//! member from those counters. Members are handed to
+//! [`Simulator::run_streaming`]'s callback as soon as their solution is
+//! final, so a caller can write P5 output while the batch integrates.
 
 use crate::engines::{
-    outcome_and_stats, output_bytes, BatchHealth, BatchResult, BatchTiming, SimOutcome, Simulator,
+    outcome_and_stats, BatchHealth, BatchResult, BatchTiming, SimOutcome, Simulator,
     IO_BYTES_PER_NS,
 };
+use crate::lanes::{MAX_LANE_WIDTH, MEMBERS_PER_LANE};
 use crate::recovery::{contained_attempt, continue_ladder, RecoveryLog, RecoveryPolicy};
-use crate::{classify_batch_with_threshold, RbmBatchSystem, SimError, SimulationJob, WorkEstimate};
+use crate::stiffness::classify_batch_on;
+use crate::{RbmBatchSystem, SimError, SimulationJob, WorkEstimate};
 use paraspace_exec::{CancelToken, Cancelled, Executor};
 use paraspace_solvers::{
-    Dopri5, OdeSolver, Radau5, Radau5Batch, SolveFailure, SolverError, SolverScratch, StepStats,
+    Dopri5, Dopri5Batch, OdeSolver, Radau5, Radau5Batch, Solution, SolveFailure, SolverError,
+    SolverOptions, SolverScratch, StepStats,
 };
 use paraspace_vgpu::{
     ChildLaunch, Device, DeviceConfig, DpModel, KernelLaunch, LaneGroupStats, MemorySpace,
     ThreadWork,
 };
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 /// Host↔device transfer throughput in bytes/ns (PCIe 3.0-class ≈ 8 GB/s).
@@ -40,6 +53,11 @@ const PCIE_BYTES_PER_NS: f64 = 8.0;
 /// Parent-thread control-flow flops per solver step (loop bookkeeping,
 /// step-size control on the coarse thread).
 const PARENT_FLOPS_PER_STEP: u64 = 30;
+
+/// A member's final outcome and the solver that produced it.
+type Slot = Option<(Result<Solution, SolverError>, &'static str)>;
+/// The callback receiving each member's final solution.
+type Done<'a> = &'a (dyn Fn(usize, &Solution) + Sync);
 
 /// The fine+coarse engine.
 ///
@@ -93,13 +111,14 @@ impl FineCoarseEngine {
         }
     }
 
-    /// Pins the P4 lockstep lane width (builder style): `1` forces the
-    /// scalar P4 path, larger values run lockstep RADAU5 lane-groups of
-    /// that width. Without this, the engine autotunes the width per model
-    /// ([`crate::auto_lane_width`]) through the same resolver as
+    /// Pins the P3 and P4 lockstep lane width (builder style): `1` forces
+    /// scalar DOPRI5 and RADAU5 solves, larger values run lockstep lane-groups
+    /// of that width. Without this, P3 runs DOPRI5 lanes of width 8 (it has
+    /// no LU working set to budget) and P4 autotunes its RADAU5 width per
+    /// model ([`crate::auto_lane_width`]) through the same resolver as
     /// [`crate::FineEngine`]. Per-member results are bitwise identical at
-    /// any width (it only shapes the modeled kernel and the LU working
-    /// set).
+    /// any width (it only shapes the host schedule, the modeled P4 kernel
+    /// and the LU working set).
     pub fn with_lane_width(mut self, width: usize) -> Self {
         self.lane_width = Some(width.max(1));
         self
@@ -147,23 +166,100 @@ impl FineCoarseEngine {
         self
     }
 
-    /// Runs one solver phase (P3 or P4) over `members`, filling `slots`,
-    /// and returns the members that failed with a re-routable error (or
-    /// `Err(Cancelled)` if the token tripped before the phase completed).
+    /// Solves each of `members` with one scalar `solver` call on the
+    /// executor's workers, under panic containment, and hands every success
+    /// to `done` from its worker. Results come back in `members` order.
+    fn solve_scalar(
+        &self,
+        job: &SimulationJob,
+        solver: &dyn OdeSolver,
+        members: &[usize],
+        opts: &SolverOptions,
+        done: Done,
+    ) -> Result<Vec<Result<Solution, SolveFailure>>, Cancelled> {
+        let results = self.executor.try_map_with_cancel(
+            members.len(),
+            &self.cancel,
+            SolverScratch::new,
+            |scratch, idx| {
+                let result = contained_attempt(job, members[idx], solver, opts, scratch);
+                if let Ok(s) = &result {
+                    done(members[idx], s);
+                }
+                result
+            },
+        )?;
+        // contained_attempt already catches member panics, so an
+        // executor-level fault is a bug in the attempt plumbing itself.
+        Ok(results.into_iter().map(|r| r.unwrap_or_else(|fault| panic!("{fault}"))).collect())
+    }
+
+    /// P3 on lanes: `members` integrate as lockstep DOPRI5 lane-groups of
+    /// `width` lanes, `width × 4` members per group, and the executor's
+    /// workers self-schedule the groups. Every member's result, step
+    /// counters included, is bitwise that of its scalar [`Dopri5`] solve.
+    /// A group whose lockstep solve panics is re-solved member by member
+    /// under panic containment. Successes go to `done` from the worker;
+    /// results come back in `members` order.
+    fn solve_p3_lanes(
+        &self,
+        job: &SimulationJob,
+        members: &[usize],
+        width: usize,
+        opts: &SolverOptions,
+        done: Done,
+    ) -> Result<Vec<Result<Solution, SolveFailure>>, Cancelled> {
+        let groups: Vec<&[usize]> = members.chunks(width * MEMBERS_PER_LANE).collect();
+        let results = self.executor.try_map_with_cancel(
+            groups.len(),
+            &self.cancel,
+            SolverScratch::new,
+            |scratch, g| {
+                let group = groups[g];
+                let lockstep = catch_unwind(AssertUnwindSafe(|| {
+                    let mut sys = RbmBatchSystem::new(job.odes(), width);
+                    for &i in group {
+                        let (x0, k) = job.member(i);
+                        sys.push_member(x0, k);
+                    }
+                    Dopri5Batch::new().solve_group(&mut sys, 0.0, job.time_points(), opts, scratch)
+                }));
+                let results = match lockstep {
+                    Ok((results, _report)) => results,
+                    Err(_) => group
+                        .iter()
+                        .map(|&i| contained_attempt(job, i, &Dopri5::new(), opts, scratch))
+                        .collect(),
+                };
+                for (result, &i) in results.iter().zip(group) {
+                    if let Ok(s) = result {
+                        done(i, s);
+                    }
+                }
+                results
+            },
+        )?;
+        Ok(results.into_iter().flat_map(|r| r.unwrap_or_else(|fault| panic!("{fault}"))).collect())
+    }
+
+    /// Bills one solver phase (P3 or P4) whose attempts for `members`
+    /// arrive in `members` order, files each outcome into `slots`, and
+    /// returns the members that failed with a re-routable error.
     #[allow(clippy::too_many_arguments)]
-    fn run_phase(
+    fn bill_phase(
         &self,
         job: &SimulationJob,
         device: &Device,
         phase_name: &str,
-        solver: &dyn OdeSolver,
+        solver_name: &'static str,
         members: &[usize],
-        slots: &mut [Option<(Result<paraspace_solvers::Solution, SolverError>, &'static str)>],
+        results: Vec<Result<Solution, SolveFailure>>,
+        slots: &mut [Slot],
         logs: &mut [RecoveryLog],
         reroutable: bool,
-    ) -> Result<Vec<usize>, Cancelled> {
+    ) -> Vec<usize> {
         if members.is_empty() {
-            return Ok(Vec::new());
+            return Vec::new();
         }
         let n = job.odes().n_species();
         let mut failed = Vec::new();
@@ -172,25 +268,13 @@ impl FineCoarseEngine {
         let mut total_rounds: u64 = 0;
         let mut total_steps_max: u64 = 0;
 
-        // Workers solve members into index-ordered slots; everything below
-        // the solve — timeline accounting, work accumulation, re-route
-        // decisions — folds on this thread in member order, so the batch
-        // result is bitwise identical at any thread count. Each attempt
-        // runs under panic containment: a panicking member becomes an
-        // `Internal` failure (never re-routable — it would panic again on
-        // the other solver too) instead of tearing down the phase.
-        let opts = self.recovery.base_options(job);
-        let results = self.executor.try_map_with_cancel(
-            members.len(),
-            &self.cancel,
-            SolverScratch::new,
-            |scratch, idx| contained_attempt(job, members[idx], solver, &opts, scratch),
-        )?;
-        for (idx, result) in results.into_iter().enumerate() {
-            let i = members[idx];
-            // contained_attempt already catches member panics, so an
-            // executor-level fault is a bug in the attempt plumbing itself.
-            let result = result.unwrap_or_else(|fault| panic!("{fault}"));
+        // Workers solved members into index-ordered results; everything
+        // here — timeline accounting, work accumulation, re-route decisions
+        // — folds on this thread in member order, so the batch result is
+        // bitwise identical at any thread count and lane width. A contained
+        // panic is an `Internal` failure, never re-routable (it would panic
+        // again on the other solver too).
+        for (&i, result) in members.iter().zip(results) {
             // Failed members are billed for the work they actually did
             // before failing (SolveFailure carries the partial counters).
             let (solution, stats) = outcome_and_stats(result);
@@ -211,9 +295,9 @@ impl FineCoarseEngine {
             ));
 
             match solution {
-                Ok(s) => slots[i] = Some((Ok(s), solver.name())),
+                Ok(s) => slots[i] = Some((Ok(s), solver_name)),
                 Err(e) if reroutable && is_reroutable(&e) => failed.push(i),
-                Err(e) => slots[i] = Some((Err(e), solver.name())),
+                Err(e) => slots[i] = Some((Err(e), solver_name)),
             }
         }
 
@@ -253,7 +337,7 @@ impl FineCoarseEngine {
                     repeats: rounds_avg,
                 });
         device.launch(&launch);
-        Ok(failed)
+        failed
     }
 
     /// The lane-batched P4: all of `members` integrate as lockstep RADAU5
@@ -263,7 +347,7 @@ impl FineCoarseEngine {
     /// `L` lanes — the per-tick dynamic-parallelism overhead is amortized
     /// `L`-fold, which is exactly where the scalar P4 lost its budget on
     /// stiff-heavy batches. Results are bitwise identical to scalar
-    /// [`Radau5`] per member.
+    /// [`Radau5`] per member; successes go to `done`.
     #[allow(clippy::too_many_arguments)]
     fn run_p4_lanes(
         &self,
@@ -271,7 +355,9 @@ impl FineCoarseEngine {
         device: &Device,
         members: &[usize],
         width: usize,
-        slots: &mut [Option<(Result<paraspace_solvers::Solution, SolverError>, &'static str)>],
+        opts: &SolverOptions,
+        done: Done,
+        slots: &mut [Slot],
         logs: &mut [RecoveryLog],
     ) {
         let n = job.odes().n_species();
@@ -281,13 +367,8 @@ impl FineCoarseEngine {
             sys.push_member(x0, k);
         }
         let mut scratch = SolverScratch::new();
-        let (results, report) = Radau5Batch::new().solve_group(
-            &mut sys,
-            0.0,
-            job.time_points(),
-            job.options(),
-            &mut scratch,
-        );
+        let (results, report) =
+            Radau5Batch::new().solve_group(&mut sys, 0.0, job.time_points(), opts, &mut scratch);
 
         let mut lane_stats = StepStats::default();
         for r in &results {
@@ -341,6 +422,9 @@ impl FineCoarseEngine {
             logs[i].attempts += 1;
             let (solution, _stats) = outcome_and_stats(r);
             logs[i].panicked |= matches!(solution, Err(SolverError::Internal { .. }));
+            if let Ok(s) = &solution {
+                done(i, s);
+            }
             slots[i] = Some((solution, "radau5-lanes"));
         }
     }
@@ -370,6 +454,14 @@ impl Simulator for FineCoarseEngine {
     }
 
     fn run(&self, job: &SimulationJob) -> Result<BatchResult, SimError> {
+        self.run_streaming(job, &|_, _| {})
+    }
+
+    fn run_streaming(
+        &self,
+        job: &SimulationJob,
+        done: &(dyn Fn(usize, &Solution) + Sync),
+    ) -> Result<BatchResult, SimError> {
         let start = Instant::now();
         let device = Device::with_dp_model(self.device_config.clone(), self.dp_model.clone());
         let n = job.odes().n_species();
@@ -381,8 +473,8 @@ impl Simulator for FineCoarseEngine {
             + batch as u64 * (n + m) as u64 * 8;
         device.record_host_phase("io::p1_h2d", h2d_bytes as f64 / PCIE_BYTES_PER_NS);
 
-        // P2: stiffness triage on the device.
-        let classes = classify_batch_with_threshold(job, self.stiffness_threshold);
+        // P2: stiffness triage on the device (on the host's workers).
+        let classes = classify_batch_on(job, self.stiffness_threshold, &self.executor);
         let p2_work = ThreadWork::new()
             .with_flops(job.odes().jacobian_flops() + 50 * 2 * (n * n) as u64)
             .with_global_read((job.odes().n_terms() as u64 * 12) + (n * n) as u64 * 8);
@@ -397,25 +489,59 @@ impl Simulator for FineCoarseEngine {
             .with_registers(64),
         );
 
-        // P3: DOPRI5 over non-stiff members; collect re-routes.
-        let mut slots: Vec<
-            Option<(Result<paraspace_solvers::Solution, SolverError>, &'static str)>,
-        > = (0..batch).map(|_| None).collect();
+        // Every final success is counted for P5 and handed to `done` exactly
+        // once, from whichever thread finished it. P3 and P4 successes are
+        // final: the relaxation ladder below only revisits failures.
+        let out_bytes = AtomicU64::new(0);
+        let finish = |i: usize, s: &Solution| {
+            out_bytes.fetch_add(job.dynamics_len(s), Ordering::Relaxed);
+            done(i, s);
+        };
+        let opts = self.recovery.base_options(job);
+        // Fault-planned members stay on the scalar path in both phases, so
+        // an injected panic (and its per-call fault ordinals) cannot touch a
+        // whole lane-group.
+        let clean = |i: usize| job.fault_plan().faults_for(i).is_none();
+
+        // P3: DOPRI5 over non-stiff members; collect re-routes. On
+        // mass-action models, two or more clean members run lockstep
+        // lane-groups, at the pinned width or the widest (DOPRI5 has no LU
+        // working set to budget).
+        let mut slots: Vec<Slot> = (0..batch).map(|_| None).collect();
         let mut logs = vec![RecoveryLog::default(); batch];
         let nonstiff: Vec<usize> = (0..batch).filter(|&i| !classes[i].stiff).collect();
         let stiff: Vec<usize> = (0..batch).filter(|&i| classes[i].stiff).collect();
         let dopri5 = Dopri5::new();
         let radau5 = Radau5::new();
-        let rerouted = self.run_phase(
+        let p3_width = self.lane_width.unwrap_or(MAX_LANE_WIDTH);
+        let p3_lanes = p3_width > 1
+            && job.odes().supports_lane_batch()
+            && nonstiff.iter().filter(|&&i| clean(i)).count() >= 2;
+        let on_lanes = |i: usize| p3_lanes && clean(i);
+        let (p3_lane, p3_scalar): (Vec<usize>, Vec<usize>) =
+            nonstiff.iter().partition(|&&i| on_lanes(i));
+        let mut lane_results =
+            self.solve_p3_lanes(job, &p3_lane, p3_width, &opts, &finish)?.into_iter();
+        let mut scalar_results =
+            self.solve_scalar(job, &dopri5, &p3_scalar, &opts, &finish)?.into_iter();
+        let p3_results = nonstiff
+            .iter()
+            .map(|&i| {
+                let next = if on_lanes(i) { lane_results.next() } else { scalar_results.next() };
+                next.expect("one P3 result per non-stiff member")
+            })
+            .collect();
+        let rerouted = self.bill_phase(
             job,
             &device,
             "p3_dopri5",
-            &dopri5,
+            dopri5.name(),
             &nonstiff,
+            p3_results,
             &mut slots,
             &mut logs,
             self.recovery.reroute,
-        )?;
+        );
 
         // P4: RADAU5 over stiff + re-routed members.
         let mut p4_members = stiff;
@@ -429,37 +555,31 @@ impl Simulator for FineCoarseEngine {
             v
         };
         // Mass-action batches with two or more clean stiff members run P4
-        // as lockstep RADAU5 lane-groups; fault-planned members stay on the
-        // scalar path so an injected panic (and its per-call fault
-        // ordinals) cannot touch a whole group. The width comes from the
-        // same per-model resolver as the fine engine's lane path.
+        // as lockstep RADAU5 lane-groups. The width comes from the same
+        // per-model resolver as the fine engine's lane path.
         let (p4_lane, p4_scalar): (Vec<usize>, Vec<usize>) =
-            p4_members.iter().copied().partition(|&i| job.fault_plan().faults_for(i).is_none());
+            p4_members.iter().partition(|&&i| clean(i));
         let p4_width = crate::lanes::resolve_lane_width(self.lane_width, job, "fine-coarse", true);
-        if p4_width > 1 && p4_lane.len() >= 2 {
-            self.run_p4_lanes(job, &device, &p4_lane, p4_width, &mut slots, &mut logs);
-            self.run_phase(
-                job,
-                &device,
-                "p4_radau5",
-                &radau5,
-                &p4_scalar,
-                &mut slots,
-                &mut logs,
-                false,
-            )?;
+        let p4_scalar = if p4_width > 1 && p4_lane.len() >= 2 {
+            self.run_p4_lanes(
+                job, &device, &p4_lane, p4_width, &opts, &finish, &mut slots, &mut logs,
+            );
+            p4_scalar
         } else {
-            self.run_phase(
-                job,
-                &device,
-                "p4_radau5",
-                &radau5,
-                &p4_members,
-                &mut slots,
-                &mut logs,
-                false,
-            )?;
-        }
+            p4_members
+        };
+        let p4_results = self.solve_scalar(job, &radau5, &p4_scalar, &opts, &finish)?;
+        self.bill_phase(
+            job,
+            &device,
+            "p4_radau5",
+            radau5.name(),
+            &p4_scalar,
+            p4_results,
+            &mut slots,
+            &mut logs,
+            false,
+        );
 
         // Relaxation pass: members still failing after P4 climb the
         // tolerance-relaxation rungs of the ladder on the solver that last
@@ -486,7 +606,7 @@ impl Simulator for FineCoarseEngine {
                     None,
                     |_| false,
                     &self.recovery,
-                    self.recovery.base_options(job),
+                    opts.clone(),
                     &mut scratch,
                 );
                 if rs.log.attempts > 1 {
@@ -498,6 +618,9 @@ impl Simulator for FineCoarseEngine {
                 logs[i].attempts += rs.log.attempts - 1;
                 logs[i].relaxations += rs.log.relaxations;
                 logs[i].panicked |= rs.log.panicked;
+                if let Ok(s) = &rs.solution {
+                    finish(i, s);
+                }
                 slots[i] = Some((rs.solution, rs.solver));
             }
         }
@@ -522,7 +645,7 @@ impl Simulator for FineCoarseEngine {
             .collect();
 
         // P5: device→host transfer plus output writing.
-        let out_bytes = output_bytes(job, &outcomes);
+        let out_bytes = out_bytes.load(Ordering::Relaxed);
         device.record_host_phase("io::p5_d2h", out_bytes as f64 / PCIE_BYTES_PER_NS);
         device.record_host_phase("io::p5_write", out_bytes as f64 / IO_BYTES_PER_NS);
 

@@ -14,6 +14,7 @@ pub use fine_coarse::FineCoarseEngine;
 
 use crate::recovery::RecoveryLog;
 use crate::{SimError, SimulationJob};
+use paraspace_exec::Executor;
 use paraspace_solvers::{
     ChaosSystem, Solution, SolveFailure, SolverError, SolverOptions, SolverScratch, StepStats,
 };
@@ -43,6 +44,33 @@ pub trait Simulator {
     /// Job-level failures only ([`SimError`]); per-simulation solver
     /// failures are recorded in the corresponding [`SimOutcome`].
     fn run(&self, job: &SimulationJob) -> Result<BatchResult, SimError>;
+
+    /// Runs the whole batch like [`run`](Self::run), calling `done(i,
+    /// solution)` once for every member `i` whose outcome is a trajectory,
+    /// so callers can write finished members while the batch integrates.
+    ///
+    /// The default calls `done` after [`run`](Self::run), in member order,
+    /// on the calling thread. Engines that know when a member's solution is
+    /// final may call it earlier, from any worker thread and in any order.
+    /// The returned result is the same either way. On an error `done` may
+    /// already have been called for some members.
+    ///
+    /// # Errors
+    ///
+    /// As [`run`](Self::run).
+    fn run_streaming(
+        &self,
+        job: &SimulationJob,
+        done: &(dyn Fn(usize, &Solution) + Sync),
+    ) -> Result<BatchResult, SimError> {
+        let result = self.run(job)?;
+        for (i, o) in result.outcomes.iter().enumerate() {
+            if let Ok(s) = &o.solution {
+                done(i, s);
+            }
+        }
+        Ok(result)
+    }
 }
 
 /// Outcome of one batch member.
@@ -354,12 +382,14 @@ pub(crate) fn outcome_and_stats(
     }
 }
 
-/// Serializes all successful outputs, returning total bytes (the P5 cost
-/// driver).
-pub(crate) fn output_bytes(job: &SimulationJob, outcomes: &[SimOutcome]) -> u64 {
-    outcomes
-        .iter()
-        .filter_map(|o| o.solution.as_ref().ok())
-        .map(|s| job.serialize_dynamics(s).len() as u64)
-        .sum()
+/// Total bytes of the dynamics files of all successful outputs (the P5 cost
+/// driver), counted per member on `executor`'s workers.
+pub(crate) fn output_bytes(
+    executor: &Executor,
+    job: &SimulationJob,
+    outcomes: &[SimOutcome],
+) -> u64 {
+    let bytes = executor
+        .map(outcomes.len(), |i| outcomes[i].solution.as_ref().map_or(0, |s| job.dynamics_len(s)));
+    bytes.into_iter().sum()
 }

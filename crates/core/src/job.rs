@@ -3,6 +3,7 @@
 use crate::SimError;
 use paraspace_rbm::{CompiledOdes, Parameterization, ReactionBasedModel};
 use paraspace_solvers::{FaultPlan, Solution, SolverOptions};
+use std::fmt;
 
 /// A batch simulation job: the unit of work every engine consumes.
 ///
@@ -87,15 +88,43 @@ impl<'a> SimulationJob<'a> {
     /// original tool writes (phase P5); engines charge its cost as I/O.
     pub fn serialize_dynamics(&self, solution: &Solution) -> String {
         let mut out = String::with_capacity(solution.len() * (self.odes.n_species() + 1) * 14);
-        for (t, state) in solution.times.iter().zip(&solution.states) {
-            out.push_str(&format!("{t:e}"));
-            for v in state {
-                out.push('\t');
-                out.push_str(&format!("{v:e}"));
-            }
-            out.push('\n');
-        }
+        self.write_dynamics(solution, &mut out).expect("writing to a String cannot fail");
         out
+    }
+
+    /// Writes one trajectory in the dynamics format of
+    /// [`serialize_dynamics`](Self::serialize_dynamics) into `out`: one line
+    /// per sample, the time then every species, tab-separated, each value
+    /// in `{:e}` notation.
+    ///
+    /// # Errors
+    ///
+    /// Only those `out` itself reports.
+    pub fn write_dynamics(&self, solution: &Solution, out: &mut impl fmt::Write) -> fmt::Result {
+        for (t, state) in solution.times.iter().zip(&solution.states) {
+            write!(out, "{t:e}")?;
+            for v in state {
+                write!(out, "\t{v:e}")?;
+            }
+            out.write_char('\n')?;
+        }
+        Ok(())
+    }
+
+    /// The byte length of [`serialize_dynamics`](Self::serialize_dynamics)
+    /// for `solution`, formatted into a length-only sink (the P5 cost
+    /// driver).
+    pub(crate) fn dynamics_len(&self, solution: &Solution) -> u64 {
+        struct Count(u64);
+        impl fmt::Write for Count {
+            fn write_str(&mut self, s: &str) -> fmt::Result {
+                self.0 += s.len() as u64;
+                Ok(())
+            }
+        }
+        let mut count = Count(0);
+        self.write_dynamics(solution, &mut count).expect("counting cannot fail");
+        count.0
     }
 }
 
@@ -407,5 +436,32 @@ mod tests {
         assert_eq!(lines.len(), 2);
         assert_eq!(lines[0].split('\t').count(), 3);
         assert!(lines[1].starts_with("1e0"));
+        assert_eq!(text, "0e0\t1e0\t0e0\n1e0\t5e-1\t5e-1\n");
+        assert_eq!(job.dynamics_len(&sol), text.len() as u64);
+    }
+
+    #[test]
+    fn written_dynamics_match_per_value_formatting() {
+        // The historical serializer formatted every value into its own
+        // String; the streaming writer must produce the same bytes.
+        let m = model();
+        let job = SimulationJob::builder(&m).time_points(vec![1.0]).replicate(1).build().unwrap();
+        let odd = [-0.0, 1.0 / 3.0, -2.5e-308, 6.02e23, f64::MIN_POSITIVE / 8.0, f64::MAX];
+        let sol = Solution {
+            times: vec![0.25, 1e-9, 7.0],
+            states: vec![odd[..2].to_vec(), odd[2..4].to_vec(), odd[4..].to_vec()],
+            stats: Default::default(),
+        };
+        let mut expected = String::new();
+        for (t, state) in sol.times.iter().zip(&sol.states) {
+            expected.push_str(&format!("{t:e}"));
+            for v in state {
+                expected.push('\t');
+                expected.push_str(&format!("{v:e}"));
+            }
+            expected.push('\n');
+        }
+        assert_eq!(job.serialize_dynamics(&sol), expected);
+        assert_eq!(job.dynamics_len(&sol), expected.len() as u64);
     }
 }

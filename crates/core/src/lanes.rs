@@ -36,6 +36,11 @@ use paraspace_rbm::{CompiledOdes, ReactionBasedModel};
 /// Widest lane-group the engines schedule.
 pub(crate) const MAX_LANE_WIDTH: usize = 8;
 
+/// Members queued per lane slot: a group of width `L` services up to
+/// `4·L` members via lane compaction, so early finishers hand their lane
+/// to a pending member instead of idling it.
+pub(crate) const MEMBERS_PER_LANE: usize = 4;
+
 /// Cache budget for one lane-group's live factor values (real + complex),
 /// sized to a conservative per-core L2 slice. Crossing it is where the
 /// lane benches measured the dense-LU cliff.

@@ -8,6 +8,7 @@
 //! not perfect.
 
 use crate::SimulationJob;
+use paraspace_exec::Executor;
 use paraspace_linalg::{dominant_eigenvalue_estimate, Matrix};
 
 /// The published spectral-radius threshold separating DOPRI5 from RADAU5.
@@ -49,16 +50,28 @@ pub fn classify_batch(job: &SimulationJob) -> Vec<StiffnessClass> {
 /// [`classify_batch`] with an explicit threshold (the stiffness-threshold
 /// ablation sweeps this knob).
 pub fn classify_batch_with_threshold(job: &SimulationJob, threshold: f64) -> Vec<StiffnessClass> {
+    classify_batch_on(job, threshold, &Executor::sequential())
+}
+
+/// [`classify_batch_with_threshold`] on `executor`'s workers, each with its
+/// own Jacobian scratch. Members are classified independently, so the
+/// classes are identical at any thread count.
+pub(crate) fn classify_batch_on(
+    job: &SimulationJob,
+    threshold: f64,
+    executor: &Executor,
+) -> Vec<StiffnessClass> {
     let n = job.odes().n_species();
-    let mut jac = Matrix::zeros(n, n);
-    (0..job.batch_size())
-        .map(|i| {
+    executor.map_with(
+        job.batch_size(),
+        || Matrix::zeros(n, n),
+        |jac, i| {
             let (x0, k) = job.member(i);
-            job.odes().jacobian_with(x0, k, &mut jac);
-            let lambda = dominant_eigenvalue_estimate(&jac);
+            job.odes().jacobian_with(x0, k, jac);
+            let lambda = dominant_eigenvalue_estimate(jac);
             StiffnessClass { dominant_eigenvalue: lambda, stiff: lambda >= threshold }
-        })
-        .collect()
+        },
+    )
 }
 
 #[cfg(test)]
@@ -97,6 +110,30 @@ mod tests {
         assert!(!classes[0].stiff);
         assert!(classes[1].stiff);
         assert!(classes[1].dominant_eigenvalue > classes[0].dominant_eigenvalue);
+    }
+
+    #[test]
+    fn classes_are_identical_at_any_thread_count() {
+        use paraspace_rbm::sbgen::SbGen;
+        use rand::rngs::StdRng;
+        use rand::SeedableRng;
+        let mut rng = StdRng::seed_from_u64(4);
+        let m = SbGen::new(10, 14).generate(&mut rng);
+        let batch = paraspace_rbm::perturbed_batch(&m, 40, &mut rng);
+        let job = SimulationJob::builder(&m)
+            .time_points(vec![1.0])
+            .parameterizations(batch)
+            .build()
+            .unwrap();
+        // Split the batch at its median eigenvalue so both classes occur.
+        let mut lambdas: Vec<f64> =
+            classify_batch(&job).iter().map(|c| c.dominant_eigenvalue).collect();
+        lambdas.sort_by(f64::total_cmp);
+        let threshold = lambdas[lambdas.len() / 2];
+        let serial = classify_batch_on(&job, threshold, &Executor::sequential());
+        assert_eq!(serial, classify_batch_with_threshold(&job, threshold));
+        assert_eq!(serial, classify_batch_on(&job, threshold, &Executor::new(4)));
+        assert!(serial.iter().any(|c| c.stiff) && serial.iter().any(|c| !c.stiff));
     }
 
     #[test]

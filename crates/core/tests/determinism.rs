@@ -8,11 +8,13 @@
 //! into the timeline fails these tests.
 
 use paraspace_core::{
-    AutoEngine, BatchResult, CoarseEngine, CpuEngine, CpuSolverKind, FineCoarseEngine, FineEngine,
-    RecoveryPolicy, SimulationJob, Simulator,
+    classify_batch, AutoEngine, BatchResult, CoarseEngine, CpuEngine, CpuSolverKind,
+    FineCoarseEngine, FineEngine, RbmOdeSystem, RecoveryPolicy, SimulationJob, Simulator,
+    STIFFNESS_THRESHOLD,
 };
+use paraspace_rbm::sbgen::SbGen;
 use paraspace_rbm::{perturbed_batch, Parameterization, Reaction, ReactionBasedModel};
-use paraspace_solvers::SolverOptions;
+use paraspace_solvers::{Dopri5, FaultPlan, FaultSpec, OdeSolver, Radau5, SolverOptions};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 
@@ -338,5 +340,131 @@ fn repeated_parallel_runs_are_self_consistent() {
     for _ in 0..3 {
         let again = engine.run(&job).unwrap();
         assert_identical(&first, &again, "fine-coarse, repeated 4-thread runs");
+    }
+}
+
+/// An SBGen batch for the fine-coarse P3 lane path: perturbed non-stiff
+/// members, one member whose constants put its dominant eigenvalue just
+/// under the P2 threshold (so DOPRI5 gives up on it and P4 takes over), and
+/// two fault-planned members (NaN and panic) that stay on the scalar path.
+fn p3_lane_job(m: &ReactionBasedModel) -> SimulationJob<'_> {
+    let mut rng = StdRng::seed_from_u64(21);
+    let mut params = perturbed_batch(m, 40, &mut rng);
+    let single = SimulationJob::builder(m).time_points(vec![1.0]).replicate(1).build().unwrap();
+    let lambda = classify_batch(&single)[0].dominant_eigenvalue;
+    let k = m.rate_constants().iter().map(|k| k * 0.8 * STIFFNESS_THRESHOLD / lambda).collect();
+    params[7] = Parameterization::new().with_rate_constants(k);
+    SimulationJob::builder(m)
+        .time_points(vec![1.0, 2.0, 5.0, 10.0])
+        .parameterizations(params)
+        .fault_plan(
+            FaultPlan::new()
+                .with_fault(3, FaultSpec::nan_at_time(0.5))
+                .with_fault(12, FaultSpec::panic_at_time(1.0)),
+        )
+        .build()
+        .unwrap()
+}
+
+/// [`assert_identical`] plus every member's recovery log.
+fn assert_identical_with_logs(reference: &BatchResult, other: &BatchResult, label: &str) {
+    assert_identical(reference, other, label);
+    for (i, (r, o)) in reference.outcomes.iter().zip(&other.outcomes).enumerate() {
+        assert_eq!(r.log, o.log, "{label}: member {i} recovery log");
+    }
+}
+
+#[test]
+fn fine_coarse_p3_lanes_match_scalar_p3_at_any_width_and_thread_count() {
+    let mut rng = StdRng::seed_from_u64(5);
+    let m = SbGen::new(12, 16).generate(&mut rng);
+    let job = p3_lane_job(&m);
+    let reference = FineCoarseEngine::new().with_lane_width(1).run(&job).unwrap();
+    let o = &reference.outcomes;
+    assert!(o[7].rerouted && o[7].solution.is_ok(), "member 7 must be rerouted to RADAU5");
+    assert!(o[3].solution.is_err() && o[12].log.panicked, "fault-planned members must fail");
+    assert!(o.iter().all(|o| !o.stiff && o.solver != "radau5-lanes"), "P4 must stay scalar");
+    assert!(reference.success_count() >= 38);
+    for threads in [1, 4] {
+        let engines = [
+            (None, FineCoarseEngine::new()),
+            (Some(1), FineCoarseEngine::new().with_lane_width(1)),
+            (Some(2), FineCoarseEngine::new().with_lane_width(2)),
+            (Some(4), FineCoarseEngine::new().with_lane_width(4)),
+            (Some(8), FineCoarseEngine::new().with_lane_width(8)),
+        ];
+        for (width, engine) in engines {
+            let result = engine.with_threads(threads).run(&job).unwrap();
+            let label = format!("fine-coarse width {width:?}, {threads} threads");
+            assert_identical_with_logs(&reference, &result, &label);
+        }
+    }
+}
+
+/// Asserts two runs gave every member the same outcome, flags and recovery
+/// log (simulated time may differ: lane widths are billed differently).
+fn assert_same_outcomes(reference: &BatchResult, other: &BatchResult, label: &str) {
+    assert_eq!(reference.outcomes.len(), other.outcomes.len(), "{label}: batch size");
+    for (i, (r, o)) in reference.outcomes.iter().zip(&other.outcomes).enumerate() {
+        assert_eq!((r.stiff, r.rerouted, r.log), (o.stiff, o.rerouted, o.log), "{label}: {i}");
+        match (&r.solution, &o.solution) {
+            (Ok(a), Ok(b)) => assert_eq!(a, b, "{label}: member {i}"),
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.to_string(), "{label}: member {i}"),
+            _ => panic!("{label}: member {i} succeeded in one run and failed in the other"),
+        }
+    }
+    assert_eq!(reference.health, other.health, "{label}: batch health");
+}
+
+#[test]
+fn member_budget_binds_lane_paths_as_it_binds_scalar_solves() {
+    // A per-member step budget is part of the first attempt's options on
+    // every path: lane groups must exhaust it exactly where the scalar
+    // solves do, so outcomes cannot depend on the lane width.
+    let m = reversible_model();
+    let mut rng = StdRng::seed_from_u64(31);
+    let mut params = perturbed_batch(&m, 10, &mut rng);
+    for i in 0..6 {
+        let k = vec![1e5 + 2.5e4 * i as f64, 2e5 + 1.5e4 * i as f64];
+        params.push(Parameterization::new().with_rate_constants(k));
+    }
+    let job = SimulationJob::builder(&m)
+        .time_points(vec![0.5, 1.0, 2.0, 4.0])
+        .parameterizations(params)
+        .build()
+        .unwrap();
+    let policy = RecoveryPolicy { step_budget: Some(12), ..RecoveryPolicy::default() };
+
+    let reference =
+        FineCoarseEngine::new().with_lane_width(1).with_recovery(policy).run(&job).unwrap();
+    let budget = reference.health.failed.step_budget_exhausted;
+    assert!(budget >= 6, "the budget must bind P3 and P4 members: {:?}", reference.health);
+    for width in [2, 4] {
+        let lanes =
+            FineCoarseEngine::new().with_lane_width(width).with_recovery(policy).run(&job).unwrap();
+        assert_same_outcomes(&reference, &lanes, &format!("fine-coarse width {width}"));
+    }
+
+    // The fine engine's width 1 is the RKF45 → BDF1 baseline, so its lane
+    // widths are pinned against each other and against the scalar twins
+    // (DOPRI5 and RADAU5) under the same budget.
+    let fine2 = FineEngine::new().with_lane_width(2).with_recovery(policy).run(&job).unwrap();
+    let fine4 = FineEngine::new().with_lane_width(4).with_recovery(policy).run(&job).unwrap();
+    assert_same_outcomes(&fine2, &fine4, "fine, width 2 vs 4");
+    assert_eq!(fine2.health.failed.step_budget_exhausted, budget, "{:?}", fine2.health);
+    let opts = SolverOptions { step_budget: Some(12), ..job.options().clone() };
+    for (i, o) in fine2.outcomes.iter().enumerate() {
+        let (x0, k) = job.member(i);
+        let sys = RbmOdeSystem::new(job.odes(), k.to_vec());
+        let twin = if o.stiff {
+            Radau5::new().solve(&sys, 0.0, x0, job.time_points(), &opts)
+        } else {
+            Dopri5::new().solve(&sys, 0.0, x0, job.time_points(), &opts)
+        };
+        match (&o.solution, &twin) {
+            (Ok(a), Ok(b)) => assert_eq!(a.states, b.states, "fine member {i}"),
+            (Err(a), Err(b)) => assert_eq!(a.to_string(), b.error.to_string(), "fine member {i}"),
+            _ => panic!("fine member {i}: lane outcome differs from its scalar twin"),
+        }
     }
 }

@@ -335,11 +335,93 @@ impl CompiledOdes {
     /// [`rhs_with_buffer`](Self::rhs_with_buffer) with that lane's state
     /// and constants.
     ///
+    /// Widths 1, 2, 4 and 8 run a const-width instantiation over `[f64; L]`
+    /// blocks, whose fixed trip counts LLVM unrolls and vectorises; other
+    /// widths run the runtime-width loops. Both perform the same
+    /// operations in the same order.
+    ///
     /// # Panics
     ///
     /// Panics if the model is not pure mass-action or buffer lengths do not
     /// match.
     pub fn rhs_batch(
+        &self,
+        lanes: usize,
+        x: &[f64],
+        k: &[f64],
+        flux: &mut [f64],
+        dxdt: &mut [f64],
+    ) {
+        match lanes {
+            1 => self.rhs_batch_const::<1>(x, k, flux, dxdt),
+            2 => self.rhs_batch_const::<2>(x, k, flux, dxdt),
+            4 => self.rhs_batch_const::<4>(x, k, flux, dxdt),
+            8 => self.rhs_batch_const::<8>(x, k, flux, dxdt),
+            _ => self.rhs_batch_dyn(lanes, x, k, flux, dxdt),
+        }
+    }
+
+    /// [`rhs_batch`](Self::rhs_batch) at a compile-time width: entry `i`
+    /// of every block is the `[f64; L]` chunk `i`.
+    fn rhs_batch_const<const L: usize>(
+        &self,
+        x: &[f64],
+        k: &[f64],
+        flux: &mut [f64],
+        dxdt: &mut [f64],
+    ) {
+        assert!(self.all_mass_action, "lane-batched flux pass covers mass-action kinetics only");
+        assert_eq!(x.len(), self.n_species * L, "state block length");
+        assert_eq!(k.len(), self.n_reactions * L, "rate-constant block length");
+        assert_eq!(flux.len(), self.n_reactions * L, "flux block length");
+        assert_eq!(dxdt.len(), self.n_species * L, "derivative block length");
+        let (x, _) = x.as_chunks::<L>();
+        let (k, _) = k.as_chunks::<L>();
+        let (flux, _) = flux.as_chunks_mut::<L>();
+        let (dxdt, _) = dxdt.as_chunks_mut::<L>();
+        for r in 0..self.n_reactions {
+            let lo = self.reactant_offsets[r] as usize;
+            let hi = self.reactant_offsets[r + 1] as usize;
+            let mut f = k[r];
+            for p in lo..hi {
+                let xs = &x[self.reactant_species[p] as usize];
+                match self.reactant_orders[p] {
+                    1 => {
+                        for l in 0..L {
+                            f[l] *= xs[l];
+                        }
+                    }
+                    2 => {
+                        for l in 0..L {
+                            f[l] *= xs[l] * xs[l];
+                        }
+                    }
+                    o => {
+                        for l in 0..L {
+                            f[l] *= crate::kinetics::int_pow(xs[l], o);
+                        }
+                    }
+                }
+            }
+            flux[r] = f;
+        }
+        for s in 0..self.n_species {
+            let lo = self.term_offsets[s] as usize;
+            let hi = self.term_offsets[s + 1] as usize;
+            let mut out = [0.0; L];
+            for p in lo..hi {
+                let c = self.term_coeffs[p];
+                let fr = &flux[self.term_reactions[p] as usize];
+                for l in 0..L {
+                    out[l] += c * fr[l];
+                }
+            }
+            dxdt[s] = out;
+        }
+    }
+
+    /// [`rhs_batch`](Self::rhs_batch) at a runtime width.
+    fn rhs_batch_dyn(
         &self,
         lanes: usize,
         x: &[f64],
@@ -935,7 +1017,8 @@ mod tests {
     #[test]
     fn rhs_batch_is_bitwise_equal_to_scalar_per_lane() {
         let (_, odes) = lotka_volterra();
-        for lanes in [1, 2, 4, 8] {
+        // 1, 2, 4 and 8 run the const-width kernel, 3 the runtime-width one.
+        for lanes in [1, 2, 3, 4, 8] {
             let x = soa_block(&[1.2, 0.7], lanes);
             let k = soa_block(&[2.0, 1.5, 0.8], lanes);
             let mut flux = vec![0.0; 3 * lanes];
@@ -956,27 +1039,32 @@ mod tests {
     #[test]
     fn rhs_batch_covers_second_order_and_catalytic_reactions() {
         // 2A -> B plus A + E -> B + E: exercises the order-2 lane
-        // specialization and a species with zero net coefficient.
+        // specialization and a species with zero net coefficient, at the
+        // const widths and the runtime-width fallback.
         let mut m = ReactionBasedModel::new();
         let a = m.add_species("A", 1.0);
         let e = m.add_species("E", 0.5);
         let b = m.add_species("B", 0.0);
         m.add_reaction(Reaction::mass_action(&[(a, 2)], &[(b, 1)], 3.0)).unwrap();
         m.add_reaction(Reaction::mass_action(&[(a, 1), (e, 1)], &[(b, 1), (e, 1)], 2.0)).unwrap();
+        // 3B -> A takes the generic integer-power arm.
+        m.add_reaction(Reaction::mass_action(&[(b, 3)], &[(a, 1)], 0.5)).unwrap();
         let odes = m.compile().unwrap();
-        let lanes = 4;
-        let x = soa_block(&[0.7, 0.5, 0.1], lanes);
-        let k = soa_block(&[3.0, 2.0], lanes);
-        let mut flux = vec![0.0; 2 * lanes];
-        let mut dxdt = vec![0.0; 3 * lanes];
-        odes.rhs_batch(lanes, &x, &k, &mut flux, &mut dxdt);
-        for l in 0..lanes {
-            let xl = lane_of(&x, lanes, l);
-            let kl = lane_of(&k, lanes, l);
-            let mut sflux = vec![0.0; 2];
-            let mut sd = vec![0.0; 3];
-            odes.rhs_with_buffer(&xl, &kl, &mut sflux, &mut sd);
-            assert_eq!(lane_of(&dxdt, lanes, l), sd, "lane={l}");
+        for lanes in [1, 2, 3, 4, 8] {
+            let x = soa_block(&[0.7, 0.5, 0.1], lanes);
+            let k = soa_block(&[3.0, 2.0, 0.5], lanes);
+            let mut flux = vec![0.0; 3 * lanes];
+            let mut dxdt = vec![0.0; 3 * lanes];
+            odes.rhs_batch(lanes, &x, &k, &mut flux, &mut dxdt);
+            for l in 0..lanes {
+                let xl = lane_of(&x, lanes, l);
+                let kl = lane_of(&k, lanes, l);
+                let mut sflux = vec![0.0; 3];
+                let mut sd = vec![0.0; 3];
+                odes.rhs_with_buffer(&xl, &kl, &mut sflux, &mut sd);
+                assert_eq!(lane_of(&flux, lanes, l), sflux, "lanes={lanes} lane={l}");
+                assert_eq!(lane_of(&dxdt, lanes, l), sd, "lanes={lanes} lane={l}");
+            }
         }
     }
 

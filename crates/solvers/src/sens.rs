@@ -460,8 +460,10 @@ impl Radau5Sens {
         check_inputs(n, y0, t0, sample_times, options)?;
         let sparsity = system.jacobian_sparsity();
         let mut ws = SensWorkspace::new(n, p);
-        let mut sol = SensSolution::default();
-        sol.solution = Solution::with_capacity(sample_times.len());
+        let mut sol = SensSolution {
+            solution: Solution::with_capacity(sample_times.len()),
+            ..SensSolution::default()
+        };
         let t_end = match sample_times.last() {
             Some(&t) => t,
             None => return Ok(sol),
